@@ -1,6 +1,5 @@
 #include "campaign/spec.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/parallel.h"
@@ -121,117 +120,55 @@ bool json_set_path(JsonValue* root, const std::string& path, JsonValue value,
   return false;
 }
 
-JsonValue CampaignSpec::to_json() const {
-  JsonObject o;
-  o.emplace_back("name", JsonValue(name));
-  o.emplace_back("seed", JsonValue(static_cast<double>(seed)));
-  o.emplace_back("replications",
-                 JsonValue(static_cast<double>(replications)));
-  o.emplace_back("scenario", scenario);
-  JsonArray grid;
-  for (const auto& axis : axes) {
-    JsonObject a;
-    a.emplace_back("path", JsonValue(axis.path));
-    a.emplace_back("values", JsonValue(axis.values));
-    grid.emplace_back(std::move(a));
-  }
-  o.emplace_back("grid", JsonValue(std::move(grid)));
-  return JsonValue(std::move(o));
+// The spec's field tables (see scenario_json.h): one entry per key, shared
+// by CampaignSpec::to_json and campaign_from_json.
+template <typename V, FieldsOf<GridAxis> T>
+void visit_fields(V& v, T& axis) {
+  v("path", axis.path);
+  v("values", axis.values);
 }
+
+template <typename V, FieldsOf<CampaignSpec> T>
+void visit_fields(V& v, T& spec) {
+  v("name", spec.name);
+  v("seed", spec.seed);
+  v("replications", spec.replications);
+  v("scenario", spec.scenario);
+  v("grid", spec.axes);
+}
+
+JsonValue CampaignSpec::to_json() const { return ObjWriter::value(*this); }
 
 bool campaign_from_json(const JsonValue& json, CampaignSpec* out,
                         std::vector<sim::ConfigError>* errors) {
   const std::size_t before = errors->size();
   *out = CampaignSpec{};
-  if (!json.is_object()) {
-    errors->push_back({"campaign", std::string("expected an object, got ") +
-                                       json.type_name()});
-    return false;
+  ObjReader r(&json, "campaign", errors);
+  if (!r.present()) return false;
+  visit_fields(r, *out);
+  r.finish();
+
+  if (out->replications < 1 || out->replications > 1e9) {
+    errors->push_back({"campaign.replications", "expected a positive integer"});
   }
-  const JsonValue* scenario = nullptr;
-  for (const auto& [key, value] : json.as_object()) {
-    if (key == "name") {
-      if (!value.is_string()) {
-        errors->push_back({"campaign.name", "expected a string"});
-      } else {
-        out->name = value.as_string();
-      }
-    } else if (key == "seed") {
-      if (!value.is_number() || value.as_number() < 0.0 ||
-          value.as_number() != std::floor(value.as_number()) ||
-          value.as_number() > 9e15) {
-        errors->push_back({"campaign.seed", "expected a non-negative integer"});
-      } else {
-        out->seed = static_cast<std::uint64_t>(value.as_number());
-      }
-    } else if (key == "replications") {
-      if (!value.is_number() || value.as_number() < 1.0 ||
-          value.as_number() != std::floor(value.as_number()) ||
-          value.as_number() > 1e9) {
-        errors->push_back(
-            {"campaign.replications", "expected a positive integer"});
-      } else {
-        out->replications = static_cast<std::size_t>(value.as_number());
-      }
-    } else if (key == "scenario") {
-      scenario = &value;
-    } else if (key == "grid") {
-      if (!value.is_array()) {
-        errors->push_back({"campaign.grid", "expected an array"});
-        continue;
-      }
-      const auto& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const std::string apath =
-            "campaign.grid[" + std::to_string(i) + "]";
-        if (!items[i].is_object()) {
-          errors->push_back({apath, "expected an object"});
-          continue;
-        }
-        GridAxis axis;
-        for (const auto& [ak, av] : items[i].as_object()) {
-          if (ak == "path") {
-            if (!av.is_string() || av.as_string().empty()) {
-              errors->push_back({apath + ".path",
-                                 "expected a non-empty dotted path string"});
-            } else {
-              axis.path = av.as_string();
-            }
-          } else if (ak == "values") {
-            if (!av.is_array() || av.as_array().empty()) {
-              errors->push_back(
-                  {apath + ".values", "expected a non-empty array"});
-            } else {
-              axis.values = av.as_array();
-            }
-          } else {
-            errors->push_back({apath + "." + ak, "unknown key"});
-          }
-        }
-        if (axis.path.empty() && axis.values.empty()) continue;
-        if (axis.path.empty()) {
-          errors->push_back({apath + ".path", "missing"});
-          continue;
-        }
-        if (axis.values.empty()) {
-          errors->push_back({apath + ".values", "missing"});
-          continue;
-        }
-        out->axes.push_back(std::move(axis));
-      }
-    } else {
-      errors->push_back({"campaign." + key, "unknown key"});
+  for (std::size_t i = 0; i < out->axes.size(); ++i) {
+    const std::string apath = "campaign.grid[" + std::to_string(i) + "]";
+    if (out->axes[i].path.empty()) {
+      errors->push_back(
+          {apath + ".path", "expected a non-empty dotted path string"});
+    }
+    if (out->axes[i].values.empty()) {
+      errors->push_back({apath + ".values", "expected a non-empty array"});
     }
   }
-  if (scenario == nullptr) {
+  if (out->scenario.is_null()) {
     errors->push_back({"campaign.scenario", "missing (a campaign must name "
                                             "its base scenario)"});
   } else {
-    out->scenario = *scenario;
     // Validate the base scenario end-to-end now — a campaign that cannot
     // produce a runnable cell 0 should fail at load, not mid-sweep.
     sim::ScenarioConfig probe;
-    scenario_from_json(*scenario, &probe, errors);
+    scenario_from_json(out->scenario, &probe, errors);
   }
   return errors->size() == before;
 }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/link_cache.h"
+#include "wifi/signal_field.h"
 
 namespace sledzig::sim {
 
@@ -82,6 +83,20 @@ std::vector<ConfigError> ScenarioConfig::validate() const {
   if (!finite(wifi_capture_sinr_db.value())) {
     errs.push_back({"wifi_capture_sinr_db", "must be finite"});
   }
+  // SledZig lowers the power of chosen constellation points, so it needs a
+  // constellation with more than one power level.
+  const bool sledzig_may_engage =
+      sledzig_enabled || (control.enabled && control.sledzig.enabled);
+  if (sledzig_may_engage && (sledzig.modulation == wifi::Modulation::kBpsk ||
+                             sledzig.modulation == wifi::Modulation::kQpsk)) {
+    errs.push_back({"sledzig.modulation",
+                    "SledZig needs QAM-16, QAM-64 or QAM-256"});
+  }
+  if (!wifi::rate_supported(sledzig.modulation, sledzig.rate)) {
+    errs.push_back({"sledzig.rate", "rate " + wifi::to_string(sledzig.rate) +
+                                        " is not supported with " +
+                                        wifi::to_string(sledzig.modulation)});
+  }
 
   const std::size_t num_nodes = wifi.size() + zigbee.size();
   for (std::size_t i = 0; i < wifi.size(); ++i) {
@@ -105,6 +120,9 @@ std::vector<ConfigError> ScenarioConfig::validate() const {
     const auto& n = zigbee[j];
     check_position(errs, field + ".tx", n.tx);
     check_position(errs, field + ".rx", n.rx);
+    if (n.gain > 31) {
+      errs.push_back({field + ".gain", "must be a CC2420 PA level 0..31"});
+    }
     if (!finite(n.sensitivity_dbm.value())) {
       errs.push_back({field + ".sensitivity_dbm", "must be finite"});
     }

@@ -40,6 +40,13 @@ std::uint8_t rate_code(Modulation m, CodingRate r) {
   throw std::invalid_argument("rate_code: unsupported modulation/rate combo");
 }
 
+bool rate_supported(Modulation m, CodingRate r) {
+  for (const auto& e : kRateTable) {
+    if (e.m == m && e.r == r) return true;
+  }
+  return false;
+}
+
 std::optional<SignalField> mode_from_rate_code(std::uint8_t code) {
   for (const auto& e : kRateTable) {
     if (e.code == code) {

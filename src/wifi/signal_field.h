@@ -24,8 +24,11 @@ struct SignalField {
   std::size_t psdu_octets = 0;  // 12-bit LENGTH
 };
 
-/// RATE code points (4 bits).  0x0 is reserved/invalid.
+/// RATE code points (4 bits).  0x0 is reserved/invalid.  Throws
+/// std::invalid_argument for a pair outside the RATE table.
 std::uint8_t rate_code(Modulation m, CodingRate r);
+/// Whether the pair has a RATE code point (rate_code would not throw).
+bool rate_supported(Modulation m, CodingRate r);
 std::optional<SignalField> mode_from_rate_code(std::uint8_t code);
 
 /// Serialises to the 24 SIGNAL bits (RATE[4], reserved, LENGTH[12], parity,

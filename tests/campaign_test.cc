@@ -3,8 +3,12 @@
 // promise — one digest for any sharding, threading, or resume history.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include "common/seed_domains.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
+#include "wifi/signal_field.h"
 
 namespace sledzig {
 namespace {
@@ -91,9 +96,14 @@ ScenarioConfig chaos_scenario() {
 }
 
 /// to_json -> from_json must hand back a config whose run digests
-/// bit-identically to the original's.
-void expect_roundtrip_digest(const ScenarioConfig& cfg) {
+/// bit-identically to the original's.  `pinned_fnv` freezes the canonical
+/// bytes themselves: every campaign hash and store digest is computed over
+/// them, so a change to the format shows up here first.
+void expect_roundtrip_digest(const ScenarioConfig& cfg,
+                             std::uint64_t pinned_fnv) {
   const JsonValue json = campaign::scenario_to_json(cfg);
+  EXPECT_EQ(campaign::json_fnv1a(json), pinned_fnv)
+      << campaign::json_dump(json);
   ScenarioConfig back;
   std::vector<ConfigError> errors;
   ASSERT_TRUE(campaign::scenario_from_json(json, &back, &errors))
@@ -224,20 +234,25 @@ TEST(CampaignJson, Hex64RoundTrip) {
 
 TEST(CampaignScenario, TwoNodeRoundTripDigest) {
   expect_roundtrip_digest(sim::two_node_paper_scenario(
-      core::SledzigConfig{}, true, 0.5, 4.0, 1.0, 0.3, 7));
+                              core::SledzigConfig{}, true, 0.5, 4.0, 1.0, 0.3,
+                              7),
+                          0x9c88a9995f22411eull);
 }
 
 TEST(CampaignScenario, TwoNodeSledzigOffRoundTripDigest) {
   expect_roundtrip_digest(sim::two_node_paper_scenario(
-      core::SledzigConfig{}, false, 0.8, 2.0, 1.0, 0.3, 7));
+                              core::SledzigConfig{}, false, 0.8, 2.0, 1.0, 0.3,
+                              7),
+                          0x9ba11229cfc1689eull);
 }
 
 TEST(CampaignScenario, CampusRoundTripDigest) {
-  expect_roundtrip_digest(sim::campus_scenario(2, 2, 2, 20.0, 0.05, 5));
+  expect_roundtrip_digest(sim::campus_scenario(2, 2, 2, 20.0, 0.05, 5),
+                          0x92f3f8c58892c21bull);
 }
 
 TEST(CampaignScenario, ChaosFaultPlanRoundTripDigest) {
-  expect_roundtrip_digest(chaos_scenario());
+  expect_roundtrip_digest(chaos_scenario(), 0x408f31c4d01ee92dull);
 }
 
 TEST(CampaignScenario, NonDefaultKnobsRoundTrip) {
@@ -251,7 +266,95 @@ TEST(CampaignScenario, NonDefaultKnobsRoundTrip) {
   cfg.invariants.enabled = true;
   cfg.zigbee[0].traffic.kind = sim::TrafficKind::kPoisson;
   cfg.zigbee[0].traffic.interval_us = 9000.0;
-  expect_roundtrip_digest(cfg);
+  expect_roundtrip_digest(cfg, 0xef6fc8f017274eb4ull);
+}
+
+/// Every leaf of `v` as (dotted path, value), in document order.  The
+/// writer builds the canonical JSON from the field tables, so this walks
+/// every table leaf exactly once.
+void collect_leaves(const JsonValue& v, const std::string& path,
+                    std::vector<std::pair<std::string, JsonValue>>* out) {
+  if (v.is_object()) {
+    for (const auto& [key, child] : v.as_object()) {
+      collect_leaves(child, path.empty() ? key : path + "." + key, out);
+    }
+  } else if (v.is_array()) {
+    for (std::size_t i = 0; i < v.as_array().size(); ++i) {
+      collect_leaves(v.as_array()[i], path + "[" + std::to_string(i) + "]",
+                     out);
+    }
+  } else {
+    out->emplace_back(path, v);
+  }
+}
+
+/// Replacement values to try for a leaf, in order: integer, ratio and
+/// index values for numbers, and for strings a spelling from each enum
+/// table that differs from the chaos base's.
+std::vector<JsonValue> leaf_candidates(const JsonValue& v) {
+  if (v.is_bool()) return {JsonValue(!v.as_bool())};
+  std::vector<JsonValue> out;
+  if (v.is_number()) {
+    const double d = v.as_number();
+    for (const double c : {d * 0.5, d + 1.0, d - 1.0, 0.0, 0.5, 1.0, 11.0}) {
+      if (c != d) out.emplace_back(c);
+    }
+    return out;
+  }
+  for (const char* name :
+       {"poisson", "saturated", "reboot", "qam16", "2/3", "ch1", "40mhz"}) {
+    if (name != v.as_string()) out.emplace_back(name);
+  }
+  return out;
+}
+
+TEST(CampaignScenario, EveryFieldRoundTrips) {
+  // A base that fills every array the format has, so each struct table
+  // (timed faults, jammers, clocks, extra channels, window offsets, both
+  // node kinds) contributes leaves.
+  ScenarioConfig base = chaos_scenario();
+  base.duration_s = 0.05;
+  base.sledzig.modulation = wifi::Modulation::kQam64;  // a rate with
+  base.sledzig.rate = wifi::CodingRate::kR34;          // neighbours both ways
+  base.sledzig.extra_channels = {core::OverlapChannel::kCh4};
+  base.sledzig.window_offsets_hz = {-2e6};
+  const JsonValue base_json = campaign::scenario_to_json(base);
+  std::vector<std::pair<std::string, JsonValue>> leaves;
+  collect_leaves(base_json, "", &leaves);
+  ASSERT_GE(leaves.size(), 129u);
+
+  for (const auto& [path, value] : leaves) {
+    SCOPED_TRACE(path);
+    // The first candidate the parser and validate() accept.
+    JsonValue mutated;
+    ScenarioConfig cfg;
+    bool accepted = false;
+    for (const JsonValue& candidate : leaf_candidates(value)) {
+      mutated = base_json;
+      std::string err;
+      ASSERT_TRUE(campaign::json_set_path(&mutated, path, candidate, &err))
+          << err;
+      std::vector<ConfigError> errors;
+      if (campaign::scenario_from_json(mutated, &cfg, &errors)) {
+        accepted = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(accepted) << "no non-default value accepted";
+    // The new value survives the writer, and the writer is a fixed point.
+    const JsonValue json = campaign::scenario_to_json(cfg);
+    EXPECT_EQ(campaign::json_dump(json), campaign::json_dump(mutated));
+    ScenarioConfig back;
+    std::vector<ConfigError> errors;
+    ASSERT_TRUE(campaign::scenario_from_json(json, &back, &errors))
+        << sim::describe(errors);
+    EXPECT_EQ(campaign::json_dump(campaign::scenario_to_json(back)),
+              campaign::json_dump(json));
+    sim::SimResult a, b;
+    ASSERT_NO_THROW(a = sim::run_scenario(cfg));
+    ASSERT_NO_THROW(b = sim::run_scenario(back));
+    EXPECT_EQ(a.trace_digest, b.trace_digest);
+  }
 }
 
 TEST(CampaignScenario, TopologyGeneratorMatchesFactory) {
@@ -443,6 +546,116 @@ TEST(CampaignSpec, LoadErrorsReportFieldPaths) {
       &spec, &errors));
   EXPECT_TRUE(has_error_field(errors, "campaign.replications"))
       << sim::describe(errors);
+}
+
+/// Canonical-form FNV of cell_scenario(spec, cell, 0) for every cell of
+/// every committed example campaign, frozen like the flagship pins above.
+const std::map<std::string, std::vector<std::uint64_t>> kExampleCellFnv = {
+    {"control_ab.json", {0x37cc361d663a09b4ull, 0x3d2a6b4721d946e1ull}},
+    {"fig16_sweep.json",
+     {0x4024c610e15ccbf1ull, 0xd0b65337144a97b3ull, 0x7df31bf5312f3d63ull,
+      0xa85ad774718de61full, 0x523b645c2611ff9aull, 0x08ef88cf1cfa70cfull,
+      0xb0c07c3434315bceull, 0x340506aefe2bb414ull, 0x3c178040610fcaceull,
+      0x31415832774c1294ull, 0xc4d3a6dcc0bb18e0ull, 0x89038136106b8042ull,
+      0xe67fc8418c4491e2ull, 0x5495d6e02aafd922ull, 0x74e502948c57a759ull,
+      0xe42dd499a63f3ecdull, 0x15e32a45dbcd38b6ull, 0xaf0562a0efdf3dd0ull,
+      0x2b2d757991ac54b0ull, 0x09eed5538a25160dull, 0x29a4470739986ddaull,
+      0x09ec944b016ad1e1ull, 0x6f65b03ba9a00c73ull, 0x9d99bcabffe13f67ull,
+      0x8b673f004a55e7abull, 0x43932f20c33878baull, 0xf15979d14c24491dull,
+      0x9b029e6a41c6191full, 0xf1aff7549c45f153ull, 0x863c6b76be2ed39dull,
+      0x28754c6280fc4879ull, 0x236beb0414871b04ull, 0x84c3249542437d96ull,
+      0xa872ac33b23bbfc2ull, 0x207d86027b6366aaull, 0x6c2e39f29406cd2full,
+      0x195048d4f54dfbceull, 0x5fbf3dfdb677ab56ull, 0x1f7a74741c4bf0a3ull,
+      0xe3d855ab90e75143ull, 0xb69a1c60c650f26cull, 0xe8c8c190d8b173abull,
+      0x166dedb2a54e11baull, 0x5b219aab40d22b79ull, 0xfdf3515a3c77e94full,
+      0x47cb08be4fb5753full, 0x4f5c1b4748c24a15ull, 0x9170247421da3ee5ull,
+      0xff414484abf249b2ull, 0xe71a2c28fe6f49c8ull, 0xe315745fa3e4d3d0ull,
+      0x394625f985733fe2ull, 0x598d783bfd66d4feull, 0x3b6be5ce292fd621ull}},
+    {"smoke.json", {0xbe12dde62178e1ecull, 0xa381bb5b890bf76eull}},
+};
+
+TEST(CampaignSpec, EveryExampleCampaignLoads) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SLEDZIG_EXAMPLE_CAMPAIGNS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& file : files) {
+    const std::string name = file.filename().string();
+    SCOPED_TRACE(name);
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    CampaignSpec spec;
+    std::vector<ConfigError> errors;
+    ASSERT_TRUE(campaign::campaign_from_text(text.str(), &spec, &errors))
+        << sim::describe(errors);
+    const auto pinned = kExampleCellFnv.find(name);
+    ASSERT_NE(pinned, kExampleCellFnv.end()) << "no pinned cell hashes";
+    ASSERT_EQ(pinned->second.size(), campaign::cell_count(spec));
+    for (std::size_t c = 0; c < campaign::cell_count(spec); ++c) {
+      ScenarioConfig cfg;
+      ASSERT_TRUE(campaign::cell_scenario(spec, c, 0, &cfg, &errors))
+          << "cell " << c << ": " << sim::describe(errors);
+      // The link-cache build encodes this pair; it must have a RATE code.
+      EXPECT_NO_THROW(wifi::rate_code(cfg.sledzig.modulation, cfg.sledzig.rate))
+          << "cell " << c;
+      // No parse-back here: cells carry index-derived 64-bit seeds, which
+      // the format's 9e15 seed ceiling deliberately refuses.
+      EXPECT_EQ(campaign::json_fnv1a(campaign::scenario_to_json(cfg)),
+                pinned->second[c])
+          << "cell " << c;
+    }
+  }
+}
+
+TEST(CampaignSpec, UnsupportedRatePairIsAFieldError) {
+  // QAM-64 and QAM-256 have no rate-1/2 RATE code point; validate() must
+  // reject the pair instead of the link-cache build throwing mid-sweep.
+  ScenarioConfig cfg;
+  std::vector<ConfigError> errors;
+  EXPECT_FALSE(campaign::scenario_from_text(
+      R"({"topology": {"generator": "two_node"},
+          "sledzig": {"modulation": "qam256"}})",
+      &cfg, &errors));
+  EXPECT_TRUE(has_error_field(errors, "sledzig.rate")) << sim::describe(errors);
+
+  // The Fig 16 grid as first committed: the base scenario itself carries
+  // QAM-256 at the default rate, so the campaign fails at load.
+  const char kOldFig16[] = R"({
+    "name": "fig16_traffic_ratio", "seed": 1, "replications": 12,
+    "scenario": {
+      "duration_s": 2.0,
+      "sledzig": {"modulation": "qam256", "channel": "ch3"},
+      "topology": {"generator": "two_node", "wifi_duty_ratio": 0.1,
+                   "d_wz_m": 1.0, "d_z_m": 0.5}
+    },
+    "grid": [
+      {"path": "sledzig_enabled", "values": [false, true]},
+      {"path": "sledzig.modulation", "values": ["qam16", "qam64", "qam256"]},
+      {"path": "topology.wifi_duty_ratio",
+       "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]}
+    ]
+  })";
+  CampaignSpec spec;
+  errors.clear();
+  EXPECT_FALSE(campaign::campaign_from_text(kOldFig16, &spec, &errors));
+  EXPECT_TRUE(has_error_field(errors, "sledzig.rate")) << sim::describe(errors);
+
+  // With a valid base, the bad cells fail the runner's up-front cell probe
+  // with the same field path — an error return, not an abort.
+  errors.clear();
+  ASSERT_TRUE(campaign::campaign_from_text(R"({
+    "scenario": {"duration_s": 0.05, "topology": {"generator": "two_node"}},
+    "grid": [{"path": "sledzig.modulation", "values": ["qam16", "qam64"]}]
+  })", &spec, &errors)) << sim::describe(errors);
+  RunnerOptions opts;
+  opts.store_path = temp_path("bad_rate.jsonl");
+  RunnerReport report;
+  EXPECT_FALSE(campaign::run_campaign(spec, opts, &report, &errors));
+  EXPECT_TRUE(has_error_field(errors, "sledzig.rate")) << sim::describe(errors);
 }
 
 TEST(CampaignSpec, JsonSetPath) {

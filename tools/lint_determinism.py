@@ -237,10 +237,8 @@ SUFFIXES = {".cc", ".h"}
 SKIP_PARTS = ("tools/lint_fixtures", "tools/sledzig_analyzer/fixtures")
 
 
-def scan_tree(root: Path, only: str | None = None) -> list[Finding]:
-    """Lints the scan dirs under `root`; `only` restricts the walk to files
-    whose root-relative path starts with that prefix (e.g. `src/sim`)."""
-    prefix = only.strip("/") if only else None
+def scan_tree(root: Path) -> list[Finding]:
+    """Lints the scan dirs under `root`."""
     findings: list[Finding] = []
     for dirname, profile in sorted(SCAN_DIRS.items()):
         base = root / dirname
@@ -252,9 +250,6 @@ def scan_tree(root: Path, only: str | None = None) -> list[Finding]:
             rel = path.relative_to(root).as_posix()
             if any(rel.startswith(skip + "/") for skip in SKIP_PARTS):
                 continue
-            if prefix is not None:
-                if rel != prefix and not rel.startswith(prefix + "/"):
-                    continue
             findings.extend(scan_file(path, profile))
     return findings
 
@@ -319,24 +314,18 @@ def main() -> int:
         "--self-test", action="store_true",
         help="verify the linter against tools/lint_fixtures/ and exit",
     )
-    parser.add_argument(
-        "--only", metavar="PREFIX", default=None,
-        help="restrict the scan to files under this root-relative path "
-             "prefix (e.g. src/sim)",
-    )
     args = parser.parse_args()
 
     if args.self_test:
         return self_test(args.root)
 
-    findings = scan_tree(args.root, args.only)
+    findings = scan_tree(args.root)
     for finding in findings:
         print(finding)
     if findings:
         print(f"lint_determinism: {len(findings)} finding(s)")
         return 1
-    scope = args.only if args.only else "tree"
-    print(f"lint_determinism: clean ({scope})")
+    print("lint_determinism: clean (tree)")
     return 0
 
 
