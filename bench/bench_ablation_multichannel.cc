@@ -26,7 +26,7 @@ void report(const core::SledzigConfig& cfg, const char* label) {
     const auto normal = coex::measure_inband_offsets(probe, false);
     const auto sled = coex::measure_inband_offsets(probe, true);
     std::printf(" %s %.1f dB", core::to_string(ch).c_str(),
-                normal.payload_offset_db - sled.payload_offset_db);
+                (normal.payload_offset_db - sled.payload_offset_db).value());
   }
   std::printf("\n");
 }

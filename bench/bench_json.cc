@@ -21,6 +21,7 @@
 #include "sledzig/encoder.h"
 #include "wifi/convolutional.h"
 #include "wifi/phy_params.h"
+#include "wifi/qam.h"
 #include "wifi/receiver.h"
 #include "wifi/transmitter.h"
 
@@ -128,6 +129,17 @@ int main(int argc, char** argv) {
                      "ns/op"});
   entries.push_back({"viterbi_soft_1k_ns", time_ns_per_op([&] {
                        auto d = wifi::viterbi_decode_soft(llrs);
+                     }),
+                     "ns/op"});
+
+  // --- Soft demapping: one 48-subcarrier QAM-256 symbol --------------------
+  auto sym_points = wifi::qam_map(common::Rng(0x256).bits(48 * 8),
+                                  wifi::Modulation::kQam256);
+  common::Rng sym_noise(0x257);
+  for (auto& p : sym_points) p += sym_noise.complex_gaussian(0.01);
+  entries.push_back({"qam_demap_soft_qam256_sym_ns", time_ns_per_op([&] {
+                       auto l = wifi::qam_demap_soft(
+                           sym_points, wifi::Modulation::kQam256);
                      }),
                      "ns/op"});
 

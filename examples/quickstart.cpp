@@ -61,7 +61,7 @@ int main() {
               "(theory cap: %.1f dB reduction)\n",
               channel::rssi_2mhz_dbm(normal_samples, f),
               channel::rssi_2mhz_dbm(payload_samples, f),
-              core::ideal_inband_reduction_db(cfg));
+              core::ideal_inband_reduction_db(cfg).value());
 
   // 6. Receive with the standard WiFi receiver, then strip the extra bits.
   const auto rx = wifi::wifi_receive(packet.samples, wifi::WifiRxConfig{});

@@ -1,8 +1,10 @@
 #include "wifi/convolutional.h"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace sledzig::wifi {
 
@@ -42,65 +44,74 @@ common::Bits convolutional_encode(const common::Bits& in) {
 
 namespace {
 
-// Precomputed branch table for (state, input): successor state plus the two
-// output bits.  Shared by the hard- and soft-decision decoders.
-struct Branch {
-  std::uint8_t next;
-  std::uint8_t a, b;
+constexpr unsigned kHalfStates = kNumStates / 2;
+
+/// Butterfly j joins predecessors 2j and 2j+1 to successors j (input 0) and
+/// j + 32 (input 1).  Both generators tap x_n and x_{n-6}, so the branches
+/// 2j -> j and 2j+1 -> j+32 emit one label (a_j, b_j) and the two crossing
+/// branches emit its complement.
+struct ButterflyLabels {
+  std::array<std::uint8_t, kHalfStates> a, b;
 };
 
-const std::array<std::array<Branch, 2>, kNumStates>& trellis() {
-  static const auto t = [] {
-    std::array<std::array<Branch, 2>, kNumStates> out{};
-    for (unsigned s = 0; s < kNumStates; ++s) {
-      for (unsigned in = 0; in < 2; ++in) {
-        const auto r = encode_step(s, static_cast<common::Bit>(in));
-        out[s][in] = Branch{static_cast<std::uint8_t>(r.next_state), r.out_a,
-                            r.out_b};
-      }
+const ButterflyLabels& butterfly_labels() {
+  static const ButterflyLabels labels = [] {
+    ButterflyLabels out{};
+    for (unsigned j = 0; j < kHalfStates; ++j) {
+      const auto r = encode_step(2 * j, 0);
+      out.a[j] = r.out_a;
+      out.b[j] = r.out_b;
     }
     return out;
   }();
-  return t;
+  return labels;
 }
 
 /// Shared add-compare-select sweep + traceback.
 ///
-/// Survivor storage is one contiguous steps*kNumStates byte buffer (input
-/// bit in bit 6, predecessor state in bits 0..5 — kNumStates == 64), and
-/// per-step branch metrics are hoisted into two 2-entry tables filled by
+/// Per-step branch metrics come from two 2-entry tables filled by
 /// `fill_tables(t, ca, cb)` (cost contribution of output bit a resp. b
-/// being 0/1).  Costs accumulate as (metric + ca[a]) + cb[b], the same
-/// association order as the pre-flattening decoder, so decisions — and the
-/// decoded bits — are bit-identical to it.
+/// being 0/1).  Each successor weighs its two predecessors branch-free and
+/// bit-identically to a scalar state-by-state sweep:
+///   - costs associate as (metric + ca[a]) + cb[b];
+///   - a predecessor at `inf` is unreachable and offers `inf`;
+///   - the candidate from 2j is taken if below `inf`, the one from 2j+1
+///     only if strictly below that (so a tie keeps 2j, and a NaN cost
+///     never wins).
+/// One 64-bit word per step records which successors took 2j+1; traceback
+/// recovers the predecessor as ((s & 31) << 1) | bit and the input as s>>5.
 template <typename Metric, typename FillTables>
 common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
                            FillTables&& fill_tables) {
-  const auto& tr = trellis();
-  std::array<Metric, kNumStates> metric;
-  std::array<Metric, kNumStates> next_metric;
-  metric.fill(inf);
+  const auto& lab = butterfly_labels();
+  std::array<Metric, kNumStates> metric_a{}, metric_b{};
+  Metric* metric = metric_a.data();
+  Metric* next = metric_b.data();
+  std::fill(metric, metric + kNumStates, inf);
   metric[0] = Metric{};  // encoder starts in the all-zero state
 
-  std::vector<std::uint8_t> survivor(steps * kNumStates, 0);
-
+  std::vector<std::uint64_t> decisions(steps);
   for (std::size_t t = 0; t < steps; ++t) {
-    next_metric.fill(inf);
-    Metric ca[2], cb[2];
+    Metric ca[2] = {}, cb[2] = {};
     fill_tables(t, ca, cb);
-    std::uint8_t* surv_t = survivor.data() + t * kNumStates;
-    for (unsigned s = 0; s < kNumStates; ++s) {
-      if (metric[s] >= inf) continue;
-      for (unsigned in = 0; in < 2; ++in) {
-        const Branch& br = tr[s][in];
-        const Metric cost = (metric[s] + ca[br.a]) + cb[br.b];
-        if (cost < next_metric[br.next]) {
-          next_metric[br.next] = cost;
-          surv_t[br.next] = static_cast<std::uint8_t>((in << 6) | s);
-        }
-      }
+    std::uint64_t word = 0;
+    for (unsigned j = 0; j < kHalfStates; ++j) {
+      const unsigned a = lab.a[j], b = lab.b[j];
+      const Metric m0 = metric[2 * j];
+      const Metric m1 = metric[2 * j + 1];
+      const Metric lo0 = m0 < inf ? (m0 + ca[a]) + cb[b] : inf;
+      const Metric lo1 = m1 < inf ? (m1 + ca[a ^ 1u]) + cb[b ^ 1u] : inf;
+      const Metric hi0 = m0 < inf ? (m0 + ca[a ^ 1u]) + cb[b ^ 1u] : inf;
+      const Metric hi1 = m1 < inf ? (m1 + ca[a]) + cb[b] : inf;
+      const Metric lo = lo0 < inf ? lo0 : inf;
+      const Metric hi = hi0 < inf ? hi0 : inf;
+      next[j] = lo1 < lo ? lo1 : lo;
+      next[j + kHalfStates] = hi1 < hi ? hi1 : hi;
+      word |= std::uint64_t{lo1 < lo} << j |
+              std::uint64_t{hi1 < hi} << (j + kHalfStates);
     }
-    metric.swap(next_metric);
+    decisions[t] = word;
+    std::swap(metric, next);
   }
 
   // Pick the end state: 0 when terminated, otherwise best metric.
@@ -117,9 +128,9 @@ common::Bits viterbi_sweep(std::size_t steps, Metric inf, bool terminated,
 
   common::Bits decoded(steps);
   for (std::size_t t = steps; t-- > 0;) {
-    const std::uint8_t packed = survivor[t * kNumStates + state];
-    decoded[t] = static_cast<common::Bit>(packed >> 6);
-    state = packed & 0x3fu;
+    decoded[t] = static_cast<common::Bit>(state / kHalfStates);
+    state = ((state % kHalfStates) << 1) |
+            static_cast<unsigned>((decisions[t] >> state) & 1u);
   }
   return decoded;
 }

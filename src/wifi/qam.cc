@@ -1,5 +1,6 @@
 #include "wifi/qam.h"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -119,56 +120,121 @@ common::Bits qam_demap(std::span<const common::Cplx> points, Modulation m) {
   return out;
 }
 
-std::vector<double> qam_demap_soft(common::Cplx point, Modulation m) {
-  const std::size_t n_bpsc = bits_per_subcarrier(m);
-  // Enumerate the constellation once per modulation: point + bit labels.
-  struct Entry {
-    common::Cplx point;
-    unsigned label;  // bit b at offset i => (label >> i) & 1
-  };
+namespace {
+
+/// One axis of a soft-demapping table.  A label's bits split into the axis
+/// bits at even group offsets (I) and odd offsets (Q); the point's real part
+/// depends only on the former and its imaginary part only on the latter.
+/// Levels are indexed by their axis bits: bit t of the index is the axis'
+/// t-th bit, group offset 2t (I) or 2t+1 (Q).
+struct Axis {
+  std::size_t bits = 0;  // 0 for the Q axis of BPSK (one level at 0)
+  std::array<double, 16> coord{};
+};
+
+struct SoftTable {
+  std::size_t n_bpsc = 0;
+  Axis i, q;
+};
+
+constexpr double kFar = 1e300;
+
+/// Squared distances from y to an axis' levels reduced to their minimum
+/// over all levels and, per axis bit, over the levels where that bit is 0
+/// resp. 1.  Minima start at kFar and skip NaN (a NaN coordinate of the
+/// received point leaves them at kFar).
+struct AxisMinima {
+  double all = kFar;
+  std::array<double, 4> bit0{kFar, kFar, kFar, kFar};
+  std::array<double, 4> bit1{kFar, kFar, kFar, kFar};
+};
+
+const SoftTable& soft_table(Modulation m) {
+  // Coordinates are read off the mapper, so they match it bit for bit.
   static const auto tables = [] {
-    std::array<std::vector<Entry>, 5> all;
-    for (const auto mod : {Modulation::kBpsk, Modulation::kQpsk, Modulation::kQam16,
-                     Modulation::kQam64, Modulation::kQam256}) {
-      const std::size_t bits = bits_per_subcarrier(mod);
+    std::array<SoftTable, 5> all;
+    for (const auto mod : {Modulation::kBpsk, Modulation::kQpsk,
+                           Modulation::kQam16, Modulation::kQam64,
+                           Modulation::kQam256}) {
       auto& table = all[static_cast<std::size_t>(mod)];
-      table.reserve(1u << bits);
-      for (unsigned v = 0; v < (1u << bits); ++v) {
-        common::Bits group(bits);
-        for (std::size_t i = 0; i < bits; ++i) {
-          group[i] = static_cast<common::Bit>((v >> i) & 1u);
+      table.n_bpsc = bits_per_subcarrier(mod);
+      table.i.bits = (table.n_bpsc + 1) / 2;
+      table.q.bits = table.n_bpsc / 2;
+      for (const bool imag : {false, true}) {
+        Axis& axis = imag ? table.q : table.i;
+        for (unsigned level = 0; level < (1u << axis.bits); ++level) {
+          common::Bits group(table.n_bpsc, 0);
+          for (std::size_t t = 0; t < axis.bits; ++t) {
+            group[2 * t + (imag ? 1 : 0)] =
+                static_cast<common::Bit>((level >> t) & 1u);
+          }
+          const common::Cplx point = qam_map_point(group, mod);
+          axis.coord[level] = imag ? point.imag() : point.real();
         }
-        table.push_back(Entry{qam_map_point(group, mod), v});
       }
     }
     return all;
   }();
-  const auto& table = tables[static_cast<std::size_t>(m)];
+  return tables[static_cast<std::size_t>(m)];
+}
 
-  // Max-log: LLR_i = min_{s: bit_i=0} |y-s|^2 - min_{s: bit_i=1} |y-s|^2.
-  std::vector<double> min0(n_bpsc, 1e300), min1(n_bpsc, 1e300);
-  for (const auto& e : table) {
-    const double d = std::norm(point - e.point);
-    for (std::size_t i = 0; i < n_bpsc; ++i) {
-      if ((e.label >> i) & 1u) {
-        min1[i] = std::min(min1[i], d);
-      } else {
-        min0[i] = std::min(min0[i], d);
-      }
+AxisMinima axis_minima(double y, const Axis& axis) {
+  AxisMinima out;
+  for (unsigned l = 0; l < (1u << axis.bits); ++l) {
+    const double e = y - axis.coord[l];
+    const double d = e * e;
+    out.all = d < out.all ? d : out.all;
+    for (std::size_t t = 0; t < axis.bits; ++t) {
+      double& m = ((l >> t) & 1u) ? out.bit1[t] : out.bit0[t];
+      m = d < m ? d : m;
     }
   }
-  std::vector<double> llrs(n_bpsc);
-  for (std::size_t i = 0; i < n_bpsc; ++i) llrs[i] = min0[i] - min1[i];
+  return out;
+}
+
+/// min(kFar, a + b): the capped max-log distance of a label set.
+double capped_sum(double a, double b) {
+  const double s = a + b;
+  return s < kFar ? s : kFar;
+}
+
+/// Max-log LLRs of one point into out[0..n_bpsc).
+///
+/// The full enumeration takes, per bit, the minimum of fl(dI + dQ) over
+/// the labels with that bit 0 (resp. 1), capped at kFar and skipping NaN.
+/// Square QAM is the product of its two axes and IEEE addition rounds
+/// monotonically, so min_{i,q} fl(dI_i + dQ_q) == fl(min_i dI_i +
+/// min_q dQ_q): the per-axis minima give the same LLRs bit for bit.
+void demap_soft_into(common::Cplx point, const SoftTable& table,
+                     double* out) {
+  const AxisMinima i = axis_minima(point.real(), table.i);
+  const AxisMinima q = axis_minima(point.imag(), table.q);
+  for (std::size_t t = 0; t < table.i.bits; ++t) {
+    out[2 * t] = capped_sum(i.bit0[t], q.all) - capped_sum(i.bit1[t], q.all);
+  }
+  for (std::size_t t = 0; t < table.q.bits; ++t) {
+    out[2 * t + 1] =
+        capped_sum(i.all, q.bit0[t]) - capped_sum(i.all, q.bit1[t]);
+  }
+}
+
+}  // namespace
+
+std::vector<double> qam_demap_soft(common::Cplx point, Modulation m) {
+  const SoftTable& table = soft_table(m);
+  std::vector<double> llrs(table.n_bpsc);
+  demap_soft_into(point, table, llrs.data());
   return llrs;
 }
 
 std::vector<double> qam_demap_soft(std::span<const common::Cplx> points,
                                    Modulation m) {
-  std::vector<double> out;
-  out.reserve(points.size() * bits_per_subcarrier(m));
+  const SoftTable& table = soft_table(m);
+  std::vector<double> out(points.size() * table.n_bpsc);
+  double* dst = out.data();
   for (const auto& p : points) {
-    const auto llrs = qam_demap_soft(p, m);
-    out.insert(out.end(), llrs.begin(), llrs.end());
+    demap_soft_into(p, table, dst);
+    dst += table.n_bpsc;
   }
   return out;
 }
